@@ -5,11 +5,14 @@ Usage:  python3 scripts/fuzz_consistency.py [--cases N] [--seed S]
 
 Draws random polynomials and ideals over F_2, F_3, F_5 and checks, per case:
 root/power adjointness, the nu recurrence sandwich, mode independence,
-Skoda's identity, and certification of exact driver outputs.  Exits nonzero
-on the first violation with a reproduction recipe.
+Skoda's identity, certification of exact driver outputs (by test ideals and,
+independently of them, by nu), Fedder's threshold-one shortcut against nu,
+and tau(f^(t-eps)) against one direct Frobenius root past the chain's limit.
+Exits nonzero on the first violation with a reproduction recipe.
 """
 
 import argparse
+import importlib
 import random
 import sys
 import time
@@ -27,8 +30,13 @@ from fthresh import (  # noqa: E402
     frobenius_root,
     is_fpt,
     nu,
+    parameter_form,
+    root_of_product,
     test_ideal,
+    test_ideal_minus_epsilon,
 )
+from fthresh.arith import ceil_fraction  # noqa: E402
+from fthresh.fptdriver import threshold_is_one  # noqa: E402
 
 RINGS = [Ring(2, ("x", "y")), Ring(3, ("x", "y")), Ring(5, ("x", "y"))]
 
@@ -101,14 +109,57 @@ def skoda(rng, ring):
 
 @check
 def driver_certification(rng, ring):
+    p = ring.characteristic
     f = random_poly(rng, ring, vanishing=True)
-    result = fpt(f, depth_of_search=rng.randint(1, 2), attempts=3)
+    depth = rng.randint(1, 2)
+    result = fpt(f, depth_of_search=depth, attempts=3)
     if result.kind == "exact":
         assert is_fpt(result.value, f, at_origin=True), (f, result)
+        # nu never calls the test-ideal code: ceil(c p^e) - 1 = nu_e at every level
+        levels = nu(depth + 6, f, return_list=True, use_special_algorithms=False)
+        for e, value in enumerate(levels):
+            assert ceil_fraction(result.value * p**e) - 1 == value, (f, result, e, value)
     elif result.kind == "interval":
         if result.lower > 0:
             assert compare_fpt(result.lower, f, at_origin=True) <= 0, (f, result)
         assert compare_fpt(result.upper, f, at_origin=True) >= 0, (f, result)
+
+
+@check
+def fedder_threshold_one(rng, ring):
+    p = ring.characteristic
+    f = random_poly(rng, ring, vanishing=True)
+    for at_origin in (True, False):
+        expected = nu(1, f, at_origin=at_origin, use_special_algorithms=False) == p - 1
+        assert threshold_is_one(f, at_origin) == expected, (f, at_origin)
+
+
+@check
+def minus_epsilon_direct_root(rng, ring):
+    # the chain's k-th value is the direct root at level g + k h, so a level
+    # past its step count must equal its limit; degrees up to 6 reach chains
+    # that stall for several steps before they drop
+    p = ring.characteristic
+    f = random_poly(rng, ring, max_exp=6, vanishing=True)
+    t = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+    module = importlib.import_module("fthresh.testideal")
+    original, calls = module.root_of_product, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    module.root_of_product = counted
+    try:
+        limit = test_ideal_minus_epsilon(t, f)
+    finally:
+        module.root_of_product = original
+    steps = len(calls) - 1  # every call but the final p^g root applies phi once
+    pf = parameter_form(t, p)
+    k = pf.g + (steps + rng.randint(1, 2)) * max(pf.h, 1)
+    unit = Ideal(ring, [ring.one()])
+    direct = root_of_product(f, ceil_fraction(t * p**k) - 1, unit, k)
+    assert limit == direct, (f, t, k)
 
 
 def main():

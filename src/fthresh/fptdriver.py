@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import DomainError, MultiPoly, Rational
+from .frobenius import root_of_product
+from .groebner import Ideal
 from .nu import NuOptions, nu
 from .special import special_fpt_at_origin, special_fpt_global
 from .testideal import compare_fpt, f_signature_value, secant_intercept
@@ -109,11 +111,6 @@ class FptResult:
 
     def is_exact(self) -> bool:
         return self.kind == "exact"
-
-    def interval_str(self) -> str:
-        left = "[" if self.lower_closed else "("
-        right = "]" if self.upper_closed else ")"
-        return f"{left}{self.lower},{self.upper}{right}"
 
     def __str__(self):
         if self.kind == "exact":
@@ -243,7 +240,7 @@ def fpt(f: MultiPoly, opts: FptOptions | None = None, **overrides) -> FptResult:
         _emit(trace, opts, result)
         return result
 
-    if compare_fpt(1, f, at_origin=opts.at_origin) == 0:
+    if threshold_is_one(f, opts.at_origin):
         result = FptResult.exact(Fraction(1), trace)
         trace.add("exact", value=Fraction(1), how="threshold one")
         _emit(trace, opts, result)
@@ -308,6 +305,27 @@ def fpt(f: MultiPoly, opts: FptOptions | None = None, **overrides) -> FptResult:
         )
     _emit(trace, opts, result)
     return result
+
+
+def threshold_is_one(f: MultiPoly, at_origin: bool) -> bool:
+    """Fedder's criterion (Trans. AMS 278, 1983): the threshold is 1 exactly
+    when (f^(p-1))^[1/p] is the unit ideal, or at the origin when
+    f^(p-1) has a term outside m^[p] (f must vanish there)."""
+    ring = f.ring
+    p = ring.characteristic
+    if not at_origin:
+        return root_of_product(f, p - 1, Ideal(ring, [ring.one()]), 1).is_unit()
+    # expand f^(p-1) modulo m^[p]: drop every term with an exponent >= p
+    power = {(0,) * ring.arity: 1}
+    for _ in range(p - 1):
+        product: dict = {}
+        for e1, c1 in power.items():
+            for e2, c2 in f.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                if max(e) < p:
+                    product[e] = (product.get(e, 0) + c1 * c2) % p
+        power = {e: c for e, c in product.items() if c}
+    return bool(power)
 
 
 def _guess_fpt(f, state, opts: FptOptions, p: int, trace: Trace) -> Fraction | None:

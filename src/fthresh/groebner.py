@@ -4,7 +4,8 @@ Supplies reduced bases, ideal membership/containment/equality, unit tests,
 colon ideals, ideal intersection, quotient lengths, Krull dimension, radical
 membership, and multivariate gcd (via intersection of principal ideals).
 
-Pair selection is the normal strategy (minimal lcm degree, deterministic
+Inputs are first row-reduced over F_p on their leading monomials.  Pair
+selection is the normal strategy (minimal lcm degree, deterministic
 tie-breaks), with the Buchberger product and chain criteria.  Reduced bases
 are unique for a fixed monomial order and are cached on the (immutable)
 ideal handle.
@@ -157,15 +158,17 @@ def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 def buchberger(gens: Sequence[MultiPoly]) -> tuple[MultiPoly, ...]:
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    polys = []
-    seen = set()
+    # row-reduce over F_p on leading monomials: the span, hence the ideal,
+    # is unchanged, and no two inputs share a leading monomial
+    pivots: dict[Exponents, MultiPoly] = {}
     for g in gens:
-        if g.is_zero():
-            continue
-        g = g.monic()
-        if g not in seen:
-            seen.add(g)
-            polys.append(g)
+        while not g.is_zero():
+            lm = g.leading_monomial()
+            if lm not in pivots:
+                pivots[lm] = g.monic()
+                break
+            g = g - pivots[lm].scale(g.leading_coefficient())
+    polys = list(pivots.values())
     if not polys:
         return ()
     ring = polys[0].ring
@@ -409,24 +412,6 @@ class Ideal:
             result = piece if result is None else result.intersect(piece)
         return result
 
-    def saturation(self, f: MultiPoly) -> "Ideal":
-        """(I : f^infinity): iterate the colon until it stabilizes."""
-        current = self.reduced()
-        while True:
-            nxt = current.colon(f).reduced()
-            if nxt == current:
-                return current
-            current = nxt
-
-    def saturation_at_irrelevant(self) -> "Ideal":
-        """(I : m^infinity) for m = (x_1, ..., x_n): intersection of the
-        per-variable saturations."""
-        result = None
-        for i in range(self.ring.arity):
-            piece = self.saturation(self.ring.variable(i))
-            result = piece if result is None else result.intersect(piece)
-        return result.reduced()
-
     def radical_contains(self, f: MultiPoly) -> bool:
         """f in sqrt(I), by the auxiliary-variable trick: 1 in I + (1 - w f)."""
         if f.is_zero():
@@ -549,19 +534,6 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.monic()
     lcm = poly_lcm(f, g)
     return exact_div((f * g).monic(), lcm).monic()
-
-
-def poly_gcd_list(polys: Sequence[MultiPoly]) -> MultiPoly:
-    result = None
-    for f in polys:
-        if f.is_zero():
-            continue
-        result = f.monic() if result is None else poly_gcd(result, f)
-        if result.is_constant():
-            return result
-    if result is None:
-        raise DomainError("gcd of zero polynomials")
-    return result
 
 
 # ---------------------------------------------------------------------------

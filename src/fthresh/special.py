@@ -13,6 +13,7 @@ they classify for dispatch and fall through to the general machinery.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,7 +104,7 @@ def diagonal_fpt(exponents: list[int], p: int) -> Fraction:
         max_g = max(max_g, g)
         if d > 1:
             h = multiplicative_order(p, d)
-            period = period * h // _gcd(period, h)
+            period = math.lcm(period, h)
     for e in range(1, max_g + period + 1):
         lhs = sum(_truncate(v, p, e) for v in parts)
         rhs = _truncate(S, p, e)
@@ -111,12 +112,6 @@ def diagonal_fpt(exponents: list[int], p: int) -> Fraction:
             return min(Fraction(1), lhs + Fraction(1, p**e))
     assert S <= 1, "carry-free digit sums force S <= 1"
     return S
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
 """Test ideals of principal polynomials in a polynomial ring, threshold
 certification, F-jumping exponents, and finite-level F-signature values.
 
-tau(f^t) is assembled from three provably terminating pieces:
+tau(f^t) and tau(f^(t-epsilon)) come from one Frobenius-operator iteration
+with two starting points.  For t = a/(p^g (p^h - 1)) write
+a = b (p^h - 1) + a0 and phi(I) = (f^a0 * I)^[1/p^h] (Blickle-Mustata-Smith,
+Michigan Math. J. 57, 2008).  phi is monotone, so a chain that starts with
+one step in some direction keeps that direction, and its first repeat is its
+limit: an exact stopping rule.
 
 * Skoda's theorem peels off integer parts: tau(f^(t+1)) = f * tau(f^t).
-* For t = a/(p^h - 1) < 1 the ascending chain B_0 = (f),
-  B_{k+1} = (f^a * B_k)^[1/p^h] is a monotone operator iteration whose k-th
-  value is (f^(ceil(t p^(kh))))^[1/p^(kh)]; its first fixed point is tau.
+* For t = a/(p^h - 1) < 1 the chain ascends from (f); its k-th value is
+  (f^(ceil(t p^(kh))))^[1/p^(kh)], so its limit is tau(f^t).
+* From R it descends; its k-th value is (f^(ceil(t p^(kh)) - 1))^[1/p^(kh)],
+  so its limit is tau(f^(t-epsilon)).  Here a0 is taken in [1, p^h - 1],
+  and t = a/p^g counts as a(p-1)/(p^g (p-1)).
 * A p-power part of the denominator folds in as one more Frobenius root:
-  tau(f^(s/p^g)) = (tau(f^s))^[1/p^g].
-
-tau(f^(t-epsilon)) (the common value just below t) is the eventually constant
-sequence (f^(ceil(t p^k) - 1))^[1/p^k]; that chain need not be monotone at
-small k, so stabilization is accepted only after two consecutive equal values
-plus one confirming step.
+  tau(f^(s/p^g)) = (tau(f^s))^[1/p^g], and f^b rides along inside it.
 """
 
 from __future__ import annotations
@@ -25,15 +27,12 @@ from .arith import (
     DomainError,
     MultiPoly,
     Rational,
-    ceil_fraction,
     floor_fraction,
     multiplicative_order,
     p_adic_split,
 )
 from .frobenius import root_of_product
 from .groebner import Ideal
-
-_MINUS_EPS_LIMIT = 60
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,7 @@ def test_ideal(t: Rational, f: MultiPoly) -> Ideal:
         else:
             # s = t0 p^g = a/(p^h - 1); Skoda again at the s level
             b, a0 = divmod(pf.a, p**pf.h - 1)
-            chain = Ideal(ring, [f]).reduced()
-            while True:
-                nxt = root_of_product(f, a0, chain, pf.h)
-                assert chain.is_contained_in(nxt), "test-ideal chain must ascend"
-                if nxt == chain:
-                    break
-                chain = nxt
+            chain = _first_repeat(f, a0, pf.h, Ideal(ring, [f]).reduced())
             core = root_of_product(f, b, chain, pf.g)
     if whole:
         core = (core * f**whole).reduced()
@@ -117,24 +110,25 @@ def test_ideal_minus_epsilon(t: Rational, f: MultiPoly) -> Ideal:
     ring = f.ring
     p = ring.characteristic
     pf = parameter_form(t, p)
-    k_min = max(1, pf.g + max(pf.h, 1))
-    unit = _unit_ideal(ring)
+    a, h = (pf.a * (p - 1), 1) if pf.pure else (pf.a, pf.h)
+    a0 = (a - 1) % (p**h - 1) + 1
+    limit = _first_repeat(f, a0, h, _unit_ideal(ring))
+    return root_of_product(f, (a - a0) // (p**h - 1), limit, pf.g)
 
-    def level(k: int) -> Ideal:
-        return root_of_product(f, ceil_fraction(t * p**k) - 1, unit, k)
 
-    previous = level(1)
-    streak = 0
-    for k in range(2, _MINUS_EPS_LIMIT + 1):
-        current = level(k)
-        if k > k_min and current == previous:
-            streak += 1
-            if streak >= 2:  # two consecutive equalities, then one confirmation
-                return current
-        else:
-            streak = 0
-        previous = current
-    raise DomainError("test ideal chain below the exponent failed to stabilize")
+def _first_repeat(f: MultiPoly, a0: int, h: int, start: Ideal) -> Ideal:
+    """First repeat of start, phi(start), phi^2(start), ... for
+    phi(I) = (f^a0 * I)^[1/p^h]: the chain descends from the unit ideal and
+    ascends from anything phi enlarges."""
+    descending = start.is_unit()
+    chain = start
+    while True:
+        nxt = root_of_product(f, a0, chain, h)
+        if nxt == chain:
+            return chain
+        smaller, larger = (nxt, chain) if descending else (chain, nxt)
+        assert smaller.is_contained_in(larger), "test-ideal chain must be monotone"
+        chain = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fthresh import (
     DENOMINATOR_POWER,
@@ -19,9 +21,10 @@ from fthresh import (
     render_trace,
     simplest_rational_between,
 )
-from fthresh.fptdriver import denominator_power_candidate
+import fthresh.fptdriver as driver
+from fthresh.fptdriver import denominator_power_candidate, threshold_is_one
 
-from helpers import interval_of, random_vanishing_poly
+from helpers import interval_of, poly_strategy, random_vanishing_poly
 
 R5 = Ring(5, ("x", "y", "z"))
 R5xy = Ring(5, ("x", "y"))
@@ -90,11 +93,61 @@ class TestGoldenExact:
         else:
             assert r.lower <= truth <= r.upper
 
+    def test_stalled_chain_is_not_exact(self):
+        # nu(7, f) = 30 < 31 puts the threshold below 1/4; depth 8 certifies 61/256
+        f = P("x^4*y^5 + x^5*y^2 + x^5", Ring(2, ("x", "y")))
+        r = fpt(f, depth_of_search=6, attempts=5)
+        assert not (r.is_exact() and r.value == Fraction(1, 4))
+        lo, hi = interval_of(r)
+        assert lo <= Fraction(61, 256) <= hi
+        assert fpt(f, depth_of_search=8, attempts=5).value == Fraction(61, 256)
+
     def test_rejects_constants(self):
         with pytest.raises(DomainError):
             fpt(R5.constant(3))
         with pytest.raises(DomainError):
             fpt(R5.zero())
+
+
+XY = [Ring(p, ("x", "y")) for p in (2, 3, 5)]
+
+
+def _vanishing(f):
+    return f.ring.poly({e: c for e, c in f.terms.items() if any(e)})
+
+
+class TestThresholdOne:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from(XY).flatmap(lambda R: poly_strategy(R, max_terms=4, max_exp=3)))
+    @example(P("x", XY[0]))
+    @example(P("x*y", XY[1]))
+    @example(P("y^2 + x", XY[2]))
+    @example(P("x*y + x^3 + y^3", XY[2]))
+    @example(P("x^2 + y^3", XY[2]))
+    def test_fedder_matches_nu(self, f):
+        f = _vanishing(f)
+        if f.is_zero():
+            return
+        p = f.ring.characteristic
+        for at_origin in (True, False):
+            expected = nu(1, f, at_origin=at_origin, use_special_algorithms=False) == p - 1
+            assert threshold_is_one(f, at_origin) == expected
+
+    def test_no_comparison_spent_on_one(self, monkeypatch):
+        calls = []
+        original = driver.compare_fpt
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "compare_fpt", counted)
+        assert fpt(P("x*y", R5xy)).value == 1
+        assert calls == []
+        # the right endpoint is the threshold: its check is the only comparison
+        f = P("x^2*(x + y)^3*(x + 3*y^2)^5", R5xy)
+        assert fpt(f, attempts=1, depth_of_search=3).value == Fraction(22, 125)
+        assert len(calls) == 1
 
 
 class TestBounds:

@@ -10,6 +10,7 @@ from fthresh import (
     DomainError,
     Ideal,
     Ring,
+    buchberger,
     normal_form,
     parse_polynomial,
     poly_gcd,
@@ -64,6 +65,18 @@ class TestBasis:
             gens = list(I.generators)
             rng.shuffle(gens)
             assert Ideal(R5, gens).groebner() == I.groebner()
+
+    def test_linear_combinations_leave_basis(self):
+        # F_p-combinations of the inputs span nothing new, in any position
+        rng = random.Random(19)
+        for _ in range(25):
+            ring = rng.choice([R5, R7])
+            gens = list(random_ideal(rng, ring).generators)
+            p = ring.characteristic
+            extra = [sum((g.scale(rng.randrange(p)) for g in gens), ring.zero()) for _ in range(3)]
+            mixed = gens + extra + [g.scale(rng.randrange(1, p)) for g in gens]
+            rng.shuffle(mixed)
+            assert buchberger(mixed) == buchberger(gens)
 
 
 class TestNormalForm:

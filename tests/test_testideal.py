@@ -165,6 +165,17 @@ class TestMinusEpsilon:
             for K in (8, 10):
                 assert limit == tau(t - Fraction(1, p**K), f)
 
+    def test_chain_that_stalls_before_dropping(self):
+        # the levels (f^(ceil(t 2^k) - 1))^[1/2^k] stay put for several steps
+        # before they drop: at level 7 for the first, at level 6 for the second
+        R2 = Ring(2, ("x", "y"))
+        f = P("x^4*y^5 + x^5*y^2 + x^5", R2)
+        assert tau_below(Fraction(1, 4), f) == Ideal(R2, [P("x", R2), P("y", R2)])
+        R2z = Ring(2, ("x", "y", "z"))
+        g = P("x^4*y*z^5 + y^3*z + x^2*y^3", R2z)
+        expected = Ideal(R2z, [P("y^2", R2z), P("x*y", R2z), P("x^2*z^3 + y*z", R2z)])
+        assert tau_below(Fraction(3, 4), g) == expected
+
     def test_jumping_gap(self):
         f = P("x^3 + y^3 + z^3 + x*y*z", R5)
         below = tau_below(Fraction(4, 5), f)
