@@ -7,7 +7,9 @@ Draws random polynomials and ideals over F_2, F_3, F_5 and checks, per case:
 root/power adjointness, the nu recurrence sandwich, mode independence,
 Skoda's identity, certification of exact driver outputs (by test ideals and,
 independently of them, by nu), Fedder's threshold-one shortcut against nu,
-and tau(f^(t-eps)) against one direct Frobenius root past the chain's limit.
+tau(f^(t-eps)) against one direct Frobenius root past the chain's limit, and
+the linear factors found from root sets on lines against trial division by
+every monic linear form (in one to three variables).
 Exits nonzero on the first violation with a reproduction recipe.
 """
 
@@ -19,12 +21,15 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from fthresh import (  # noqa: E402
     Ideal,
     Ring,
     compare_fpt,
+    extract_linear_factors,
     fpt,
     frobenius_power,
     frobenius_root,
@@ -37,6 +42,7 @@ from fthresh import (  # noqa: E402
 )
 from fthresh.arith import ceil_fraction  # noqa: E402
 from fthresh.fptdriver import threshold_is_one  # noqa: E402
+from helpers import brute_linear_factors  # noqa: E402
 
 RINGS = [Ring(2, ("x", "y")), Ring(3, ("x", "y")), Ring(5, ("x", "y"))]
 
@@ -160,6 +166,25 @@ def minus_epsilon_direct_root(rng, ring):
     unit = Ideal(ring, [ring.one()])
     direct = root_of_product(f, ceil_fraction(t * p**k) - 1, unit, k)
     assert limit == direct, (f, t, k)
+
+
+@check
+def linear_factors_vs_enumeration(rng, ring):
+    p = ring.characteristic
+    small = Ring(p, ("x", "y", "z")[: rng.randint(1, 3)])
+    n = small.arity
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n + 1)]
+    f = small.one()
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.6:
+            g = small.poly({u: rng.randrange(p) for u in unit})
+        else:
+            g = random_poly(rng, small)
+        f = f * g ** rng.randint(1, 2)
+    if f.is_zero() or f.is_constant():
+        return
+    got, want = extract_linear_factors(f), brute_linear_factors(f)
+    assert (got.unit, got.factors, got.fully_split) == (want.unit, want.factors, want.fully_split), (f, got, want)
 
 
 def main():

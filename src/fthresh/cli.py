@@ -54,6 +54,13 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}", 0) from None
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_bounds(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -91,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_arguments(p_fpt)
     p_fpt.add_argument("poly")
     p_fpt.add_argument("-e", "--depth", type=int, default=1)
-    p_fpt.add_argument("--attempts", type=int, default=3)
+    p_fpt.add_argument("--attempts", type=_nonnegative_int, default=3)
     p_fpt.add_argument("--no-special", action="store_true")
     p_fpt.add_argument("--final-attempt", action="store_true")
     p_fpt.add_argument("--bounds", help="known bounds a/b,c/d")
@@ -260,6 +267,14 @@ _RUNNERS = {
 }
 
 
+def _batch_argv(entry) -> list[str]:
+    if isinstance(entry, str):
+        return shlex.split(entry)
+    if isinstance(entry, list) and all(isinstance(a, str) for a in entry):
+        return entry
+    raise ValueError(f"batch entry {entry!r} is neither a string nor a list of strings")
+
+
 def _run_batch(args) -> int:
     try:
         with open(args.file) as handle:
@@ -267,11 +282,14 @@ def _run_batch(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        entries = [e if isinstance(e, list) else shlex.split(e) for e in json.loads(text)]
-    else:
-        entries = [shlex.split(line) for line in text.splitlines() if line.strip()]
+    try:
+        if text.lstrip().startswith("["):
+            entries = [_batch_argv(e) for e in json.loads(text)]
+        else:
+            entries = [shlex.split(line) for line in text.splitlines() if line.strip()]
+    except ValueError as exc:  # malformed JSON, entries or shell quoting
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     for argv in entries:
         code = run(argv)
         if code != EXIT_OK:

@@ -3,8 +3,9 @@
 * shape classification (diagonal / binomial / binary form / other),
 * the base-p carry algorithm for diagonal polynomials,
 * simple-normal-crossing detection via Jacobian ranks and heights,
-* limited factorization: monomial content, trial division by linear forms,
-  and char-p squarefree decomposition of the leftover cofactor.
+* limited factorization: monomial content, linear factors (trial division
+  by the candidates that root sets of f on a few lines allow), and char-p
+  squarefree decomposition of the leftover cofactor.
 
 Closed forms for binomials and binary forms are deliberately not implemented;
 they classify for dispatch and fall through to the general machinery.
@@ -110,7 +111,8 @@ def diagonal_fpt(exponents: list[int], p: int) -> Fraction:
         rhs = _truncate(S, p, e)
         if lhs != rhs:
             return min(Fraction(1), lhs + Fraction(1, p**e))
-    assert S <= 1, "carry-free digit sums force S <= 1"
+    if S > 1:
+        raise RuntimeError("carry-free digit sums force S <= 1")
     return S
 
 
@@ -144,31 +146,51 @@ class FactoredPoly:
         return " * ".join(pieces)
 
 
-def _monic_linear_forms(ring: Ring):
-    """All monic linear forms: lead variable coefficient 1, later-variable and
-    constant coefficients arbitrary; (p^n - 1)/(p - 1) * p candidates."""
-    p, n = ring.characteristic, ring.arity
-    for lead in range(n):
-        tail_vars = range(lead + 1, n)
-        for coeffs in itertools.product(range(p), repeat=n - lead):
-            # coeffs = (c_{lead+1}, ..., c_{n-1}, constant)
-            terms = {}
-            exps = [0] * n
-            exps[lead] = 1
-            terms[tuple(exps)] = 1
-            for j, c in zip(tail_vars, coeffs[:-1]):
-                if c:
-                    e = [0] * n
-                    e[j] = 1
-                    terms[tuple(e)] = c
-            if coeffs[-1]:
-                terms[(0,) * n] = coeffs[-1]
-            yield ring.poly(terms)
+def _line_roots(f: MultiPoly, a: list[int], i: int) -> list[int]:
+    """The s in F_p with f(a + s e_i) = 0, where a_i = 0."""
+    p = f.ring.characteristic
+    g: dict[int, int] = {}  # f restricted to the line, as a polynomial in s
+    for exps, c in f.terms.items():
+        for j, e in enumerate(exps):
+            if e and j != i:
+                c = c * pow(a[j], e, p) % p
+        g[exps[i]] = (g.get(exps[i], 0) + c) % p
+    return [s for s in range(p) if sum(c * pow(s, k, p) for k, c in g.items()) % p == 0]
+
+
+def _monic_linear_forms(f: MultiPoly, lead: int):
+    """Monic linear forms x_lead + sum_{j > lead} c_j x_j + c_0, among them
+    every such factor of f, in the order of (c_{lead+1}, ..., c_{n-1}, c_0).
+
+    On a line a + s e_lead with a_lead = 0 such a form is s + lam(a), with
+    lam(a) = sum_j c_j a_j + c_0, so if it divides f, then -lam(a) is a root
+    of f there.  Roots on the lines through a base point w and through each
+    w + e_j (j > lead) give lam(w) and c_j = lam(w + e_j) - lam(w).  A line
+    inside V(f) tells nothing; if each of 4p base points lies on one, all
+    p^(n - lead) forms are candidates.
+    """
+    ring, p, n = f.ring, f.ring.characteristic, f.ring.arity
+    tails = itertools.product(range(p), repeat=n - lead)
+    for rest in itertools.islice(itertools.product(range(p), repeat=n - 1), 4 * p):
+        w = [*rest[:lead], 0, *rest[lead:]]
+        lines = [w] + [[v + (k == j) for k, v in enumerate(w)] for j in range(lead + 1, n)]
+        roots = [_line_roots(f, a, lead) for a in lines]
+        if all(len(r) < p for r in roots):
+            found = set()
+            for r0, *rs in itertools.product(*roots):
+                cs = [(r0 - r) % p for r in rs]
+                found.add((*cs, (-r0 - sum(c * v for c, v in zip(cs, w[lead + 1:]))) % p))
+            tails = sorted(found)
+            break
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    for *cs, c0 in tails:
+        yield ring.poly({unit[lead]: 1, **dict(zip(unit[lead + 1:], cs)), (0,) * n: c0})
 
 
 def _pth_root(f: MultiPoly) -> MultiPoly:
     p = f.ring.characteristic
-    assert all(all(e % p == 0 for e in exps) for exps in f.terms)
+    if any(e % p for exps in f.terms for e in exps):
+        raise RuntimeError("p-th root of a polynomial that is not a p-th power")
     return f.ring.poly({tuple(e // p for e in exps): c for exps, c in f.terms.items()})
 
 
@@ -209,9 +231,9 @@ def squarefree_factors(h: MultiPoly) -> list[tuple[MultiPoly, int]]:
 
 
 def extract_linear_factors(f: MultiPoly) -> FactoredPoly:
-    """Split off the monomial content and all monic linear factors by trial
-    division; the leftover cofactor is squarefree-decomposed and kept as
-    uncertified factors."""
+    """Split off the monomial content and all monic linear factors, by trial
+    division by the candidates that root sets on lines leave; the leftover
+    cofactor is squarefree-decomposed and kept as uncertified factors."""
     if f.is_zero():
         raise DomainError("cannot factor the zero polynomial")
     ring = f.ring
@@ -222,9 +244,11 @@ def extract_linear_factors(f: MultiPoly) -> FactoredPoly:
         if m:
             factors.append((ring.variable(i), m))
             f = f.ring.poly({tuple(e - m if j == i else e for j, e in enumerate(exps)): c for exps, c in f.terms.items()})
-    # monic linear forms
-    if not f.is_constant():
-        for ell in _monic_linear_forms(ring):
+    # monic linear forms, by lead variable; candidates come from what is left
+    for lead in range(ring.arity):
+        if f.is_constant():
+            break
+        for ell in _monic_linear_forms(f, lead):
             mult = 0
             while True:
                 q = try_div(f, ell)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import strategies as st
 
-from fthresh import Ideal, MultiPoly, Ring
+from fthresh import FactoredPoly, Ideal, MultiPoly, Ring, squarefree_factors
+from fthresh.groebner import try_div
 
 
 def poly_strategy(ring: Ring, max_terms: int = 6, max_exp: int = 4, nonzero: bool = False):
@@ -60,6 +62,36 @@ def naive_power(f: MultiPoly, n: int) -> MultiPoly:
     for _ in range(n):
         out = out * f
     return out
+
+
+def brute_linear_factors(f: MultiPoly) -> FactoredPoly:
+    """``extract_linear_factors`` by exhaustive search: split off the monomial
+    content, then trial-divide by every one of the (p^n - 1)/(p - 1) * p monic
+    linear forms, ordered by lead variable and then by the tuple
+    (c_{lead+1}, ..., c_{n-1}, constant); squarefree-decompose the rest."""
+    ring = f.ring
+    p, n = ring.characteristic, ring.arity
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    factors = []
+    for i in range(n):
+        m = min(exps[i] for exps in f.terms)
+        if m:
+            factors.append((ring.variable(i), m))
+            f = ring.poly({tuple(e - m * u for e, u in zip(exps, unit[i])): c for exps, c in f.terms.items()})
+    for lead in range(n):
+        for *cs, c0 in itertools.product(range(p), repeat=n - lead):
+            if f.is_constant():
+                break
+            ell = ring.poly({unit[lead]: 1, **dict(zip(unit[lead + 1:], cs)), (0,) * n: c0})
+            mult = 0
+            while (q := try_div(f, ell)) is not None:
+                f, mult = q, mult + 1
+            if mult:
+                factors.append((ell, mult))
+    if f.is_constant():
+        return FactoredPoly(f.constant_term(), tuple(factors), True)
+    rest = squarefree_factors(f)
+    return FactoredPoly(f.leading_coefficient(), tuple(factors + rest), all(q.degree() < 2 for q, _ in rest))
 
 
 def monomial_in_monomial_ideal(exps, gens_exps) -> bool:

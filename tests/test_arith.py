@@ -32,6 +32,12 @@ class TestConstruction:
         for n in range(2, 200):
             assert is_prime(n) == all(n % d for d in range(2, n)), n
         assert all(is_prime(p) for p in primes)
+        # strong pseudoprime to the 12 prime bases up to 37; base 41 exposes it
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(2**61 - 1)
+        # no fixed base set is proven beyond the 13-base bound: refuse to guess
+        with pytest.raises(DomainError):
+            is_prime(3317044064679887385961981)
 
     def test_variable_names(self):
         with pytest.raises(DomainError):

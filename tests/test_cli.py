@@ -165,6 +165,10 @@ class TestErrors:
         code, _, err = invoke(capsys, "fpt", "x")
         assert code == 2
 
+    def test_negative_attempts_rejected(self, capsys):
+        code, out, err = invoke(capsys, "fpt", "--char", "5", "--vars", "x,y", "--attempts", "-3", "x*y")
+        assert code == 2 and out == "" and "--attempts" in err
+
 
 class TestBatch:
     def test_batch_runs_all_lines(self, tmp_path, capsys):
@@ -204,6 +208,16 @@ class TestBatch:
         code, out, _ = invoke(capsys, "batch", str(batch))
         assert code == 0
         assert out.splitlines() == ["94/625", "true"]
+
+    @pytest.mark.parametrize(
+        "text",
+        ['[ "fpt -p 5 x^2+y^3", ', "[1, 2]", '["fpt --char 5 --vars x,y \\"x"]', 'fpt --char 5 "x\n'],
+    )
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, text):
+        batch = tmp_path / "bad.json"
+        batch.write_text(text)
+        code, out, err = invoke(capsys, "batch", str(batch))
+        assert code == 2 and out == "" and "error" in err
 
     def test_unreadable_file(self, capsys):
         code, _, err = invoke(capsys, "batch", "/nonexistent/path.txt")

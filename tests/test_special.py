@@ -5,6 +5,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fthresh.special as special
 
 from fthresh import (
     DomainError,
@@ -22,7 +26,7 @@ from fthresh import (
     squarefree_factors,
 )
 
-from helpers import brute_diagonal_nu
+from helpers import brute_diagonal_nu, brute_linear_factors, poly_strategy
 
 R5 = Ring(5, ("x", "y", "z"))
 R5xy = Ring(5, ("x", "y"))
@@ -189,6 +193,87 @@ class TestFactorExtraction:
         R = Ring(3, ("x", "y"))
         f = P("(x + y)^3", R)
         assert squarefree_factors(f) == [(P("x + y", R), 3)]
+
+
+SMALL_RINGS = [Ring(p, ("x", "y", "z")[:n]) for p in (2, 3, 5, 7) for n in (1, 2, 3)]
+
+
+@st.composite
+def products(draw):
+    """Products of powers of linear forms and small polynomials."""
+    ring = draw(st.sampled_from(SMALL_RINGS))
+    n, p = ring.arity, ring.characteristic
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n + 1)]  # x_0..x_{n-1}, 1
+    linear = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1).map(
+        lambda cs: ring.poly(dict(zip(unit, cs)))
+    )
+    other = poly_strategy(ring, max_terms=3, max_exp=3)
+    f = ring.one()
+    for g, m in draw(st.lists(st.tuples(linear | other, st.integers(1, 2)), min_size=1, max_size=4)):
+        f = f * g**m
+    assume(not f.is_constant())
+    return f
+
+
+def same_factoring(F, G):
+    assert (F.unit, F.factors, F.fully_split) == (G.unit, G.factors, G.fully_split)
+
+
+class TestLinearFactorCandidates:
+    """The candidates read off root sets on lines miss no linear factor: the
+    result equals trial division by every monic linear form."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(products())
+    def test_matches_exhaustive_search(self, f):
+        same_factoring(extract_linear_factors(f), brute_linear_factors(f))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x^{p} - x)*y",  # x^(p-1) - 1 vanishes at every unit
+            "(z + 1)*(x^2 + y^3)",  # the cofactor lies in (x, y)
+            "(y + 1)*(y + 2)*(x + y + z)",  # lines through y = -1, -2 lie in V(f)
+            "(x + 2*y + 3*z + 4)^2*(x - y)",  # a form with every coefficient nonzero
+            "x^{p}*y - x*y^{p} + z^{p} - z",  # vanishes on all of F_p^3
+        ],
+    )
+    def test_degenerate_inputs(self, p, text):
+        f = P(text.replace("{p}", str(p)), Ring(p, ("x", "y", "z")))
+        same_factoring(extract_linear_factors(f), brute_linear_factors(f))
+
+    @pytest.mark.parametrize(
+        "text", ["x^2*y^3 + y^2*z^3 + z^2*x^3", "(x + 2*y)^2*(y + 3*z)*(z + 1)"]
+    )
+    def test_trial_divisions_do_not_grow_with_p(self, monkeypatch, text):
+        calls = []
+
+        original = special.try_div
+
+        def counted(f, g):
+            calls.append(g)
+            return original(f, g)
+
+        monkeypatch.setattr(special, "try_div", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            snc_verdict_raw(P(text, Ring(101, ("x", "y", "z"))))
+        assert len(calls) <= 20
+
+
+class TestInvariantChecks:
+    """Invariant checks raise explicitly, so they survive python -O."""
+
+    def test_pth_root_of_non_pth_power(self):
+        with pytest.raises(RuntimeError):
+            special._pth_root(P("x^5 + y", R5))
+
+    def test_diagonal_sum_above_one(self, monkeypatch):
+        # with every truncation equal the carry test never fires
+        monkeypatch.setattr(special, "_truncate", lambda x, p, e: Fraction(0))
+        with pytest.raises(RuntimeError):
+            diagonal_fpt([2, 2, 2], 3)
 
 
 class TestSimpleNormalCrossing:
