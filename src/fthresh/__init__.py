@@ -34,17 +34,8 @@ from .fptdriver import (
 from .groebner import (
     Ideal,
     buchberger,
-    colon_ideal,
-    groebner_basis,
-    ideal_containment,
-    ideal_equality,
-    ideal_membership,
-    is_unit_ideal,
-    krull_dimension,
     normal_form,
     poly_gcd,
-    quotient_length,
-    radical_membership,
 )
 from .nu import NuOptions, nu, nu_via_fpt
 from .parsing import ParseError, parse_polynomial, parse_ring
@@ -88,15 +79,6 @@ __all__ = [
     "parse_ring",
     "buchberger",
     "normal_form",
-    "groebner_basis",
-    "ideal_membership",
-    "ideal_containment",
-    "ideal_equality",
-    "is_unit_ideal",
-    "colon_ideal",
-    "quotient_length",
-    "krull_dimension",
-    "radical_membership",
     "poly_gcd",
     "frobenius_power",
     "frobenius_root",

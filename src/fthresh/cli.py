@@ -290,6 +290,10 @@ def _run_batch(args) -> int:
     except ValueError as exc:  # malformed JSON, entries or shell quoting
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if any(argv[:1] == ["batch"] for argv in entries):
+        # a batch file that names itself would recurse without end
+        print(f"error: {args.file}: batch files cannot run other batch files", file=sys.stderr)
+        return EXIT_PARSE
     for argv in entries:
         code = run(argv)
         if code != EXIT_OK:

@@ -68,13 +68,8 @@ class Trace:
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, bool) or v is None:
-        return v
-    if isinstance(v, int):
-        return str(v)
-    return str(v)
+    """Booleans and None as they are; numbers, Fractions included, as exact strings."""
+    return v if v is None or isinstance(v, bool) else str(v)
 
 
 @dataclass
@@ -407,66 +402,47 @@ def _final_attempt(f, state, e: int, nu_value, p: int, trace: Trace) -> Fraction
 # verbose rendering
 
 
+# one format per rendered stage, filled from the event's data; stages not
+# listed here (and exact values that carry a ``how``) print nothing
+_STAGE_FORMATS = {
+    "start": "Starting fpt ...",
+    "not_in_maximal_ideal": "f does not vanish at the origin ...",
+    "not_one": "fpt is not 1 ...",
+    "special_check": "Verifying if special algorithms apply...",
+    "special_not_used": "Special fpt algorithms were not used ...",
+    "special_used": "Special fpt algorithms computed the answer: {value} ...",
+    "nu_computed": "ν has been computed: ν = nu({e},f) = {value} ...",
+    "interval": "fpt lies in the interval [ν/(p^e-1),(ν+1)/p^e] = [{lower},{upper}] ...",
+    "bounds_applied": "User bounds narrow the interval to [{lower},{upper}] ...",
+    "guess_start": "Starting guessFPT ...",
+    "right_endpoint_rejected": "The right-hand endpoint is not the fpt ...",
+    "left_endpoint_rejected": "The left-hand endpoint is not the fpt ...",
+    "narrowed": "guessFPT narrowed the interval down to ({lower},{upper}) ...",
+    "fsig_start": "Beginning F-signature computation ...",
+    "fsig_first": "First F-signature computed: s(f,(ν-1)/p^e) = {value} ...",
+    "fsig_second": "Second F-signature computed: s(f,ν/p^e) = {value} ...",
+    "secant": "Computed F-signature secant line intercept: {value} ...",
+    "secant_improved": "F-signature intercept is an improved lower bound;\n"
+    "Using F-regularity to check if it is the fpt ...",
+    "secant_rejected": "The new lower bound is not the fpt ...",
+    "final_interval": "fpt failed to find the exact answer; try increasing the value of\n"
+    "    DepthOfSearch or Attempts.\n\n"
+    "fpt lies in the interval {left}{lower},{upper}{right}.",
+    "exact": "fpt is exactly {value}.",
+}
+
+
 def render_trace(trace: Trace, result: FptResult | None = None) -> str:
     """Human-readable trace, one line per stage."""
-    lines: list[str] = []
-    for ev in trace.events:
-        s, d = ev.stage, ev.data
-        if s == "start":
-            lines.append("Starting fpt ...")
-        elif s == "not_in_maximal_ideal":
-            lines.append("f does not vanish at the origin ...")
-        elif s == "not_one":
-            lines.append("fpt is not 1 ...")
-        elif s == "special_check":
-            lines.append("Verifying if special algorithms apply...")
-        elif s == "special_not_used":
-            lines.append("Special fpt algorithms were not used ...")
-        elif s == "special_used":
-            lines.append(f"Special fpt algorithms computed the answer: {d['value']} ...")
-        elif s == "nu_computed":
-            lines.append(f"ν has been computed: ν = nu({d['e']},f) = {d['value']} ...")
-        elif s == "interval":
-            lines.append(
-                "fpt lies in the interval [ν/(p^e-1),(ν+1)/p^e] = "
-                f"[{d['lower']},{d['upper']}] ..."
-            )
-        elif s == "bounds_applied":
-            lines.append(f"User bounds narrow the interval to [{d['lower']},{d['upper']}] ...")
-        elif s == "guess_start":
-            lines.append("Starting guessFPT ...")
-        elif s == "right_endpoint_rejected":
-            lines.append("The right-hand endpoint is not the fpt ...")
-        elif s == "left_endpoint_rejected":
-            lines.append("The left-hand endpoint is not the fpt ...")
-        elif s == "narrowed":
-            lines.append(f"guessFPT narrowed the interval down to ({d['lower']},{d['upper']}) ...")
-        elif s == "fsig_start":
-            lines.append("Beginning F-signature computation ...")
-        elif s == "fsig_first":
-            lines.append(f"First F-signature computed: s(f,(ν-1)/p^e) = {d['value']} ...")
-        elif s == "fsig_second":
-            lines.append(f"Second F-signature computed: s(f,ν/p^e) = {d['value']} ...")
-        elif s == "secant":
-            lines.append(f"Computed F-signature secant line intercept: {d['value']} ...")
-        elif s == "secant_improved":
-            lines.append(
-                "F-signature intercept is an improved lower bound;\n"
-                "Using F-regularity to check if it is the fpt ..."
-            )
-        elif s == "secant_rejected":
-            lines.append("The new lower bound is not the fpt ...")
-        elif s == "final_interval":
-            lines.append(
-                "fpt failed to find the exact answer; try increasing the value of\n"
-                "    DepthOfSearch or Attempts."
-            )
-            left = "[" if d["lower_closed"] else "("
-            right = "]" if d["upper_closed"] else ")"
-            lines.append(f"fpt lies in the interval {left}{d['lower']},{d['upper']}{right}.")
-        elif s == "exact" and "how" not in d:
-            lines.append(f"fpt is exactly {d['value']}.")
-    return "\n\n".join(lines)
+    return "\n\n".join(
+        _STAGE_FORMATS[ev.stage].format(
+            **ev.data,
+            left="[" if ev.data.get("lower_closed") else "(",
+            right="]" if ev.data.get("upper_closed") else ")",
+        )
+        for ev in trace.events
+        if ev.stage in _STAGE_FORMATS and "how" not in ev.data
+    )
 
 
 def _emit(trace: Trace, opts: FptOptions, result: FptResult):

@@ -55,16 +55,9 @@ def frobenius_root_step(I: Ideal) -> Ideal:
     return Ideal(I.ring, gens)
 
 
-def frobenius_root(I: Ideal, e: int, reduce: bool = True) -> Ideal:
+def frobenius_root(I: Ideal, e: int) -> Ideal:
     """Smallest ideal K with I contained in K^[p^e]."""
-    if e < 0:
-        raise DomainError("negative Frobenius exponent")
-    current = I
-    for _ in range(e):
-        current = frobenius_root_step(current)
-        if reduce:
-            current = current.reduced()
-    return current.reduced() if reduce else current
+    return root_of_product(I.ring.one(), 0, I, e)
 
 
 def root_of_product(f: MultiPoly, n: int, I: Ideal, e: int) -> Ideal:

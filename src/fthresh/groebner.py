@@ -350,13 +350,14 @@ class Ideal:
         gens = self.generators
         if all(g.is_monomial() for g in gens):
             # iterated Minkowski sums, cached so repeated probes share work;
-            # duplicates collapse, so the sets stay small
-            if self._power_sets is None:
-                self._power_sets = [{next(iter(g.terms)) for g in gens}]
-            chain = self._power_sets
-            bases = chain[0]
-            while len(chain) < n:
-                chain.append({add_exps(e, b) for e in chain[-1] for b in bases})
+            # duplicates collapse, so the sets stay small.  A local copy is
+            # extended and published as one tuple: no half-built chain shows.
+            chain = self._power_sets or ({next(iter(g.terms)) for g in gens},)
+            if len(chain) < n:
+                grown = list(chain)
+                while len(grown) < n:
+                    grown.append({add_exps(e, b) for e in grown[-1] for b in chain[0]})
+                chain = self._power_sets = tuple(grown)
             return Ideal(self.ring, [_raw(self.ring, {e: 1}) for e in sorted(chain[n - 1])])
         powers: dict[tuple[int, int], MultiPoly] = {}
 
@@ -534,43 +535,3 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.monic()
     lcm = poly_lcm(f, g)
     return exact_div((f * g).monic(), lcm).monic()
-
-
-# ---------------------------------------------------------------------------
-# functional aliases matching the operation inventory
-
-
-def groebner_basis(I: Ideal) -> tuple[MultiPoly, ...]:
-    return I.groebner()
-
-
-def ideal_membership(f: MultiPoly, J: Ideal) -> bool:
-    return J.contains(f)
-
-
-def ideal_containment(I: Ideal, J: Ideal) -> bool:
-    return I.is_contained_in(J)
-
-
-def is_unit_ideal(I: Ideal) -> bool:
-    return I.is_unit()
-
-
-def colon_ideal(J: Ideal, f: MultiPoly) -> Ideal:
-    return J.colon(f)
-
-
-def quotient_length(I: Ideal) -> ExtendedNatural:
-    return I.quotient_length()
-
-
-def krull_dimension(I: Ideal) -> int:
-    return I.krull_dimension()
-
-
-def radical_membership(f: MultiPoly, J: Ideal) -> bool:
-    return J.radical_contains(f)
-
-
-def ideal_equality(I: Ideal, J: Ideal) -> bool:
-    return I == J

@@ -174,7 +174,8 @@ def _nu_levels(e: int, I: Ideal, f: MultiPoly | None, J: Ideal, mode: str, opts:
                 hi = p * (prev + 1) - 1
             else:
                 hi = p * (prev + 1) + gen_count * (p - 1) - 1
-            assert outside(lo, s), "recurrence lower bound violated"
+            if not outside(lo, s):
+                raise RuntimeError("recurrence lower bound violated")
             if opts.search == LINEAR:
                 v = lo
                 while v < hi and outside(v + 1, s):

@@ -19,6 +19,8 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*^()"
+# deeper nesting of parentheses and unary minus signs would exhaust Python's stack
+_MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -54,6 +56,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -68,6 +71,15 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+    def nested(self, parse):
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError("expression nested too deeply", self.peek()[2])
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     # expr := term (('+'|'-') term)*
     def expression(self) -> MultiPoly:
@@ -90,7 +102,7 @@ class _Parser:
     def factor(self) -> MultiPoly:
         if self.peek()[0] == "-":
             self.next()
-            return -self.factor()
+            return -self.nested(self.factor)
         value = self.atom()
         while self.peek()[0] == "^":
             self.next()
@@ -110,7 +122,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {text!r}", pos)
             return self.ring.variable(text)
         if kind == "(":
-            value = self.expression()
+            value = self.nested(self.expression)
             self.expect(")")
             return value
         raise ParseError(f"unexpected token {text!r}", pos)

@@ -2,20 +2,24 @@
 certification, F-jumping exponents, and finite-level F-signature values.
 
 tau(f^t) and tau(f^(t-epsilon)) come from one Frobenius-operator iteration
-with two starting points.  For t = a/(p^g (p^h - 1)) write
-a = b (p^h - 1) + a0 and phi(I) = (f^a0 * I)^[1/p^h] (Blickle-Mustata-Smith,
-Michigan Math. J. 57, 2008).  phi is monotone, so a chain that starts with
-one step in some direction keeps that direction, and its first repeat is its
-limit: an exact stopping rule.
+with two starting points.  For t = a/(p^g (p^h - 1)), where t = a/p^g counts
+as a(p-1)/(p^g (p-1)), write a = b (p^h - 1) + a0 and
+phi(I) = (f^a0 * I)^[1/p^h] (Blickle-Mustata-Smith, Michigan Math. J. 57,
+2008).  phi is monotone, so a chain that starts with one step in some
+direction keeps that direction, and its first repeat is its limit: an exact
+stopping rule.
 
-* Skoda's theorem peels off integer parts: tau(f^(t+1)) = f * tau(f^t).
-* For t = a/(p^h - 1) < 1 the chain ascends from (f); its k-th value is
-  (f^(ceil(t p^(kh))))^[1/p^(kh)], so its limit is tau(f^t).
-* From R it descends; its k-th value is (f^(ceil(t p^(kh)) - 1))^[1/p^(kh)],
-  so its limit is tau(f^(t-epsilon)).  Here a0 is taken in [1, p^h - 1],
-  and t = a/p^g counts as a(p-1)/(p^g (p-1)).
-* A p-power part of the denominator folds in as one more Frobenius root:
-  tau(f^(s/p^g)) = (tau(f^s))^[1/p^g], and f^b rides along inside it.
+* For tau(f^t), a0 is a mod (p^h - 1) and the chain ascends from (f); its
+  k-th value is (f^(ceil(s p^(kh))))^[1/p^(kh)] for s = a0/(p^h - 1), so
+  its limit is tau(f^s).  When a0 = 0 that limit is R.
+* For tau(f^(t-epsilon)), a0 is taken in [1, p^h - 1] and the chain descends
+  from R; its k-th value is (f^(ceil(s p^(kh)) - 1))^[1/p^(kh)], so its
+  limit is tau(f^(s-epsilon)).
+* Both then end in one ``root_of_product`` call, (f^b * limit)^[1/p^g]:
+  tau(f^t) = (f^b * tau(f^s))^[1/p^g], and likewise below t.  The p-power
+  part of the denominator is g more Frobenius roots, and the factor
+  f^(b // p^g) multiplied in at the end is Skoda's theorem
+  tau(f^(t+1)) = f * tau(f^t).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .arith import (
     DomainError,
     MultiPoly,
     Rational,
-    floor_fraction,
     multiplicative_order,
     p_adic_split,
 )
@@ -57,7 +60,8 @@ def parameter_form(t: Rational, p: int) -> ParameterForm:
         return ParameterForm(int(t * p**g), g, 0, True)
     h = multiplicative_order(p, d)
     a = t * p**g * (p**h - 1)
-    assert a.denominator == 1
+    if a.denominator != 1:
+        raise RuntimeError("p^h - 1 must clear the prime-to-p denominator")
     return ParameterForm(int(a), g, h, False)
 
 
@@ -76,43 +80,31 @@ def _check_poly(f: MultiPoly):
 
 def test_ideal(t: Rational, f: MultiPoly) -> Ideal:
     """tau(f^t) for a rational t >= 0."""
-    _check_poly(f)
-    t = Fraction(t)
-    if t < 0:
-        raise DomainError("negative exponent")
-    ring = f.ring
-    p = ring.characteristic
-    whole = floor_fraction(t)
-    t0 = t - whole
-    if t0 == 0:
-        core = _unit_ideal(ring)
-    else:
-        pf = parameter_form(t0, p)
-        if pf.pure:
-            # t0 = a / p^g with integer a: one root of the Skoda power
-            core = root_of_product(f, pf.a, _unit_ideal(ring), pf.g)
-        else:
-            # s = t0 p^g = a/(p^h - 1); Skoda again at the s level
-            b, a0 = divmod(pf.a, p**pf.h - 1)
-            chain = _first_repeat(f, a0, pf.h, Ideal(ring, [f]).reduced())
-            core = root_of_product(f, b, chain, pf.g)
-    if whole:
-        core = (core * f**whole).reduced()
-    return core
+    if Fraction(t) == 0:
+        _check_poly(f)
+        return _unit_ideal(f.ring)
+    return _tau(t, f, below=False)
 
 
 def test_ideal_minus_epsilon(t: Rational, f: MultiPoly) -> Ideal:
     """The common value of tau(f^(t - delta)) for all small delta > 0."""
+    return _tau(t, f, below=True)
+
+
+def _tau(t: Rational, f: MultiPoly, below: bool) -> Ideal:
+    """tau(f^(t - epsilon)) when ``below``, else tau(f^t), for t > 0."""
     _check_poly(f)
     t = Fraction(t)
     if t <= 0:
-        raise DomainError("parameter must be positive")
+        raise DomainError("parameter must be positive" if below else "negative exponent")
     ring = f.ring
     p = ring.characteristic
     pf = parameter_form(t, p)
     a, h = (pf.a * (p - 1), 1) if pf.pure else (pf.a, pf.h)
-    a0 = (a - 1) % (p**h - 1) + 1
-    limit = _first_repeat(f, a0, h, _unit_ideal(ring))
+    a0 = (a - 1) % (p**h - 1) + 1 if below else a % (p**h - 1)
+    # a0 = 0 only for tau(f^t) with t p^g an integer: then the limit is R
+    start = _unit_ideal(ring) if below or a0 == 0 else Ideal(ring, [f]).reduced()
+    limit = _first_repeat(f, a0, h, start) if a0 else start
     return root_of_product(f, (a - a0) // (p**h - 1), limit, pf.g)
 
 
@@ -127,7 +119,8 @@ def _first_repeat(f: MultiPoly, a0: int, h: int, start: Ideal) -> Ideal:
         if nxt == chain:
             return chain
         smaller, larger = (nxt, chain) if descending else (chain, nxt)
-        assert smaller.is_contained_in(larger), "test-ideal chain must be monotone"
+        if not smaller.is_contained_in(larger):
+            raise RuntimeError("test-ideal chain must be monotone")
         chain = nxt
 
 
@@ -135,16 +128,20 @@ def _first_repeat(f: MultiPoly, a0: int, h: int, start: Ideal) -> Ideal:
 # threshold comparison
 
 
+def _tau_pair(t: Rational, f: MultiPoly) -> tuple[Ideal, Ideal]:
+    """tau(f^t) and tau(f^(t-epsilon)), checked to be nested."""
+    # tau(f^0) is R, so the minus-epsilon call goes first to refuse t <= 0
+    tau_below = test_ideal_minus_epsilon(t, f)
+    tau_t = test_ideal(t, f)
+    if not tau_t.is_contained_in(tau_below):
+        raise RuntimeError("test ideals must shrink as t grows")
+    return tau_t, tau_below
+
+
 def compare_fpt(t: Rational, f: MultiPoly, at_origin: bool = False) -> int:
     """-1, 0, or 1 according to whether t is below, equal to, or above the
     F-pure threshold of f (at the origin, or the global minimum)."""
-    _check_poly(f)
-    t = Fraction(t)
-    if t <= 0:
-        raise DomainError("parameter must be positive")
-    tau_t = test_ideal(t, f)
-    tau_below = test_ideal_minus_epsilon(t, f)
-    assert tau_t.is_contained_in(tau_below), "test ideals must shrink as t grows"
+    tau_t, tau_below = _tau_pair(t, f)
     if at_origin:
         m = _maximal_ideal(f.ring)
         if not tau_t.is_contained_in(m):
@@ -170,16 +167,11 @@ def is_f_jumping_exponent(t: Rational, f: MultiPoly, at_origin: bool = False) ->
     maximal ideal m: the quotient tau(f^(t-eps))/tau(f^t) is supported at m
     exactly when its annihilator (tau(f^t) : tau(f^(t-eps))) sits inside m.
     """
-    _check_poly(f)
-    t = Fraction(t)
-    if t <= 0:
-        raise DomainError("parameter must be positive")
-    tau_t = test_ideal(t, f)
-    tau_below = test_ideal_minus_epsilon(t, f)
-    if not at_origin:
-        return tau_t != tau_below
+    tau_t, tau_below = _tau_pair(t, f)
     if tau_t == tau_below:
         return False
+    if not at_origin:
+        return True
     annihilator = tau_t.colon_ideal(tau_below)
     return annihilator.is_contained_in(_maximal_ideal(f.ring))
 

@@ -219,6 +219,13 @@ class TestBatch:
         code, out, err = invoke(capsys, "batch", str(batch))
         assert code == 2 and out == "" and "error" in err
 
+    def test_batch_entry_is_refused(self, tmp_path, capsys):
+        # a file that runs itself would recurse without end
+        batch = tmp_path / "loop.txt"
+        batch.write_text(f"fpt --char 5 --vars x,y x^2+y^3\nbatch {batch}\n")
+        code, out, err = invoke(capsys, "batch", str(batch))
+        assert code == 2 and out == "" and "batch" in err
+
     def test_unreadable_file(self, capsys):
         code, _, err = invoke(capsys, "batch", "/nonexistent/path.txt")
         assert code == 1 and "error" in err
@@ -234,6 +241,17 @@ class TestRingParsing:
             parse_ring("GF(9)[x]")
         with pytest.raises(ParseError):
             parse_ring("ZZ/4[x]")
+
+    @pytest.mark.parametrize("text", ["(" * 5000 + "a" + ")" * 5000, "b" + "-" * 5000 + "a"])
+    def test_deep_nesting_is_a_parse_error(self, capsys, text):
+        with pytest.raises(ParseError):
+            parse_polynomial(text, R7)
+        code, out, err = invoke(capsys, "fpt", "--char", "7", "--vars", "a,b", text)
+        assert code == 2 and out == "" and "nested too deeply" in err
+
+    def test_moderate_nesting_parses(self):
+        assert parse_polynomial("(" * 90 + "a" + ")" * 90, R7) == R7.variable("a")
+        assert parse_polynomial("-" * 90 + "a", R7) == R7.variable("a")
 
     @given(f=poly_strategy(R7))
     def test_round_trip_through_text(self, f):

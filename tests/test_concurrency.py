@@ -1,5 +1,6 @@
 """Immutability and concurrent use: shared handles, lazy basis caching."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -32,3 +33,21 @@ def test_polynomials_are_shared_safely():
         list(pool.map(lambda n: f**n, range(16)))
         list(pool.map(lambda _: f.frobenius(2), range(8)))
     assert f.terms == before
+
+
+def test_concurrent_monomial_powers_agree():
+    # the Minkowski chain behind monomial powers is cached on the handle;
+    # threads extending it at once must never see a half-built chain
+    ring = Ring(5, ("x", "y", "z"))
+    gens = [ring.variable(i) for i in range(3)]
+    expected = Ideal(ring, gens).power(40).generators
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(4):
+            shared = Ideal(ring, gens)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: shared.power(40).generators, range(8)))
+            assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,6 +1,7 @@
 """The nu/mu engine: golden values, recurrence windows, mode independence."""
 
 import random
+import sys
 
 import pytest
 from fractions import Fraction
@@ -127,6 +128,22 @@ class TestValidation:
     def test_ring_mismatch(self):
         with pytest.raises(DomainError):
             nu(1, R3.variable("x"), Ideal(R5, [R5.variable("x")]))
+
+
+class TestInvariantChecks:
+    def test_recurrence_lower_bound(self, monkeypatch):
+        # a root inside J from level 2 on puts nu_2 below p * nu_1; the check
+        # raises explicitly, so it survives python -O
+        nu_module = sys.modules["fthresh.nu"]
+        real = nu_module.root_of_product
+        x = R5.variable("x")
+        monkeypatch.setattr(
+            nu_module,
+            "root_of_product",
+            lambda f, n, I, e: real(f, n, I, e) if e < 2 else Ideal(R5, [x]),
+        )
+        with pytest.raises(RuntimeError):
+            nu(2, P("x^3 + y^4 + x*y*z", R5), use_special_algorithms=False)
 
 
 class TestProperties:

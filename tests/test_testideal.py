@@ -1,9 +1,12 @@
 """Test ideals, threshold comparison, jumping exponents, F-signature values."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+
+import fthresh.testideal as testideal
 
 from fthresh import (
     DomainError,
@@ -221,6 +224,32 @@ class TestCompare:
         assert compare_fpt(1, f, at_origin=True) == 0
         assert compare_fpt(Fraction(5, 6), f, at_origin=False) == 0
         assert compare_fpt(1, f, at_origin=False) == 1
+
+
+class TestInvariantChecks:
+    """Invariant checks raise explicitly, so they survive python -O."""
+
+    def test_parameter_form_denominator(self, monkeypatch):
+        # with the order of 5 mod 3 taken as 1, p^h - 1 = 4 leaves 1/3 fractional
+        monkeypatch.setattr(testideal, "multiplicative_order", lambda p, d: 1)
+        with pytest.raises(RuntimeError):
+            parameter_form(Fraction(1, 3), 5)
+
+    def test_chain_monotone(self, monkeypatch):
+        # a "descending" chain R, (x), (y), ... is not monotone
+        steps = itertools.cycle([Ideal(R5xy, [R5xy.variable("x")]), Ideal(R5xy, [R5xy.variable("y")])])
+        monkeypatch.setattr(testideal, "root_of_product", lambda f, n, I, e: next(steps))
+        with pytest.raises(RuntimeError):
+            tau_below(Fraction(1, 4), P("x^2 + y^3", R5xy))
+
+    @pytest.mark.parametrize("query", [compare_fpt, is_f_jumping_exponent])
+    def test_pair_nested(self, monkeypatch, query):
+        monkeypatch.setattr(testideal, "test_ideal", lambda t, f: Ideal(R5xy, [R5xy.one()]))
+        monkeypatch.setattr(
+            testideal, "test_ideal_minus_epsilon", lambda t, f: Ideal(R5xy, [R5xy.variable("x")])
+        )
+        with pytest.raises(RuntimeError):
+            query(Fraction(1, 2), P("x^2 + y^3", R5xy))
 
 
 class TestJumpingExponents:
